@@ -20,13 +20,19 @@ small graphs, many kernel invocations — because that is exactly the
 regime stacking exists to fix; at large n the kernel itself dominates
 and both paths converge.  The stacked multi-point records must be
 bit-identical to the per-point records, so the speedup is a pure
-execution change.  Timings and the speedup ratios are written to
+execution change.
+
+Both arms of a comparison are timed alternately within each repeat (the
+order flips every repeat) and compared by their medians, so a burst of
+machine noise lands on both arms instead of on one arm's best-of-N.
+Timings and the speedup ratios are written to
 ``benchmarks/results/BENCH_multipoint.json`` (uploaded as a CI artifact).
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 from repro.api.session import Session
@@ -39,13 +45,14 @@ TORUS = GraphSpec("torus", {"sides": 8, "d": 2})
 
 N_POINTS = 96
 TRIALS_PER_POINT = 2
-REPEATS = 5
+REPEATS = 15
 
 THRESHOLD_GRAPH = mesh([6, 6])
 THRESHOLD_TRIALS = 32
 THRESHOLD_TOL = 0.0005
 THRESHOLD_LADDER = 3
 THRESHOLD_SEEDS = (41, 42, 43, 44)
+THRESHOLD_REPEATS = 21
 
 
 def _groups():
@@ -68,14 +75,18 @@ def _payload(r):
     return {k: v for k, v in r.to_dict().items() if k != "timings"}
 
 
-def _best(fn, repeats=REPEATS):
-    """(best wall-clock seconds, last return value) over ``repeats`` runs."""
-    best, value = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, value
+def _interleaved(slow, fast, repeats):
+    """Median wall-clock seconds of ``slow`` and ``fast``, timed
+    alternately (order flipped every repeat), and each arm's last value."""
+    arms = (slow, fast)
+    times = ([], [])
+    values = [None, None]
+    for i in range(repeats):
+        for k in ((0, 1) if i % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            values[k] = arms[k]()
+            times[k].append(time.perf_counter() - t0)
+    return statistics.median(times[0]), statistics.median(times[1]), values
 
 
 def test_bench_multipoint_stacking(results_dir, capsys):
@@ -90,8 +101,7 @@ def test_bench_multipoint_stacking(results_dir, capsys):
 
     # warm once (imports, generator cache) before timing either side
     per_point(), stacked()
-    solo_s, solo = _best(per_point)
-    stack_s, stack = _best(stacked)
+    solo_s, stack_s, (solo, stack) = _interleaved(per_point, stacked, REPEATS)
 
     assert [[_payload(r) for r in rs] for rs in stack] == [
         [_payload(r) for r in rs] for rs in solo
@@ -113,9 +123,10 @@ def test_bench_multipoint_stacking(results_dir, capsys):
         ]
 
     threshold_workload(1), threshold_workload(THRESHOLD_LADDER)  # warm
-    bisect_s, bisect_ests = _best(lambda: threshold_workload(1), repeats=7)
-    ladder_s, ladder_ests = _best(
-        lambda: threshold_workload(THRESHOLD_LADDER), repeats=7
+    bisect_s, ladder_s, (bisect_ests, ladder_ests) = _interleaved(
+        lambda: threshold_workload(1),
+        lambda: threshold_workload(THRESHOLD_LADDER),
+        THRESHOLD_REPEATS,
     )
     t_speedup = bisect_s / ladder_s
     for est in ladder_ests:

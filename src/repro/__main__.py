@@ -126,16 +126,13 @@ def _batch_mode(args: argparse.Namespace):
     return "auto" if flag is None else flag
 
 
-def _open_session(store: str | None, workers: int | None, batch="auto",
-                  backend: str | None = None):
+def _open_session(store: str | None, workers: int | None, batch="auto"):
     """Build a Session, turning an unusable store path (existing file,
     permissions, ...) into the CLI's one-line-error contract."""
     from .api.session import Session
 
     try:
-        return Session(
-            store=store, workers=workers, batch=batch, backend=backend
-        ), 0
+        return Session(store=store, workers=workers, batch=batch), 0
     except OSError as exc:
         print(f"cannot open store at {store}: {exc}", file=sys.stderr)
         return None, 2
@@ -249,12 +246,6 @@ def _cmd_sweep(argv: list[str]) -> int:
         "Results are bit-identical either way",
     )
     sub.add_argument(
-        "--backend", choices=("auto", "numpy", "numba"), default=None,
-        help="kernel backend for batched execution (default: auto — numba "
-        "when importable, else numpy). Results are bit-identical across "
-        "backends",
-    )
-    sub.add_argument(
         "--server", default=None, metavar="URL",
         help="a running sweep service (python -m repro serve); required "
         "for submit/watch, and switches status to the service's view",
@@ -341,9 +332,7 @@ def _cmd_sweep(argv: list[str]) -> int:
         return 0
 
     store = _store_path(args)
-    session, err = _open_session(
-        store, args.workers, _batch_mode(args), args.backend
-    )
+    session, err = _open_session(store, args.workers, _batch_mode(args))
     if session is None:
         return err
     t0 = time.perf_counter()
@@ -537,11 +526,6 @@ def _cmd_serve(argv: list[str]) -> int:
         "engine in workers; default: auto",
     )
     sub.add_argument(
-        "--backend", choices=("auto", "numpy", "numba"), default="auto",
-        help="kernel backend for worker sessions (default: auto — numba "
-        "when importable, else numpy)",
-    )
-    sub.add_argument(
         "--no-merge-points", action="store_true",
         help="dispatch one grid point per job instead of merging "
         "compatible points into stacked multi-point jobs",
@@ -558,7 +542,6 @@ def _cmd_serve(argv: list[str]) -> int:
         host=args.host,
         port=args.port,
         batch=_batch_mode(args),
-        backend=args.backend,
         job_timeout=args.job_timeout,
         max_attempts=args.max_attempts,
         job_chunk=args.job_chunk,

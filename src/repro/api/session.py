@@ -90,12 +90,6 @@ class Session:
         through :mod:`repro.batch` (results are bit-identical to scalar
         execution, so this is on by default); ``True`` — batch every
         eligible group, even singletons; ``False`` — always scalar.
-    backend:
-        Array backend for the batched kernels: ``"auto"`` (numba when
-        importable, else numpy), ``"numpy"``, ``"numba"`` (clean fallback
-        to numpy when numba is absent), or ``None`` to defer to the
-        ``REPRO_BACKEND`` environment variable.  Backends are
-        bit-identical, so this only affects speed.
 
     A storeless serial session is the cheapest way to execute specs
     programmatically; identical scenarios are deduplicated per session run
@@ -126,7 +120,6 @@ class Session:
         baseline_cache: Optional[Dict[BaselineKey, ExpansionEstimate]] = None,
         refresh: bool = False,
         batch: Union[str, bool] = "auto",
-        backend: Optional[str] = None,
     ) -> None:
         if store is None or isinstance(store, ResultStore):
             self.store = store
@@ -139,10 +132,6 @@ class Session:
                 f"batch must be 'auto', True or False, got {batch!r}"
             )
         self.batch = batch
-        from ..backend import resolve_backend  # validates the name eagerly
-
-        self.backend = backend
-        self._backend = resolve_backend(backend)
         self._baselines = baseline_cache if baseline_cache is not None else {}
         #: Scenarios served from the store / actually executed, cumulatively.
         self.hits = 0
@@ -301,9 +290,7 @@ class Session:
             baseline = self._baselines[baseline_key(missing_specs[0])]
             for (i, _), result in zip(
                 missing,
-                _batch_engine.run_trials(
-                    missing_specs, baseline=baseline, backend=self._backend
-                ),
+                _batch_engine.run_trials(missing_specs, baseline=baseline),
             ):
                 self._record(result)
                 results[i] = result
@@ -353,7 +340,6 @@ class Session:
             computed = _batch_engine.run_points(
                 [specs for _, _, specs in missing],
                 baseline=baseline,
-                backend=self._backend,
             )
             for (gi, idxs, _), group_results in zip(missing, computed):
                 for i, result in zip(idxs, group_results):

@@ -36,8 +36,8 @@ from .faults import MASK_SAMPLERS, batched_fault_masks
 
 __all__ = ["supports", "stack_key", "run_trials", "run_points"]
 
-# Soft cap on the bytes the per-round (T, 2m) gather buffer of one
-# stacked kernel call may take.  run_points packs whole point-groups into
+# Soft cap on the bytes the int32 (T, 2m) stacked column array of one
+# kernel call may take.  run_points packs whole point-groups into
 # super-batches under this budget; a single oversized group still runs in
 # one call (matching run_trials' historical behaviour).
 _STACK_BUDGET_BYTES = 256 << 20
@@ -109,7 +109,6 @@ def run_trials(
     *,
     baseline: Optional[ExpansionEstimate] = None,
     graph: Optional[Graph] = None,
-    backend: Optional[object] = None,
 ) -> List[RunResult]:
     """Execute homogeneous trials as one batched evaluation.
 
@@ -125,7 +124,7 @@ def run_trials(
     specs = list(specs)
     if not specs:
         return []
-    return run_points([specs], baseline=baseline, graph=graph, backend=backend)[0]
+    return run_points([specs], baseline=baseline, graph=graph)[0]
 
 
 def _group_masks(
@@ -151,7 +150,6 @@ def run_points(
     *,
     baseline: Optional[ExpansionEstimate] = None,
     graph: Optional[Graph] = None,
-    backend: Optional[object] = None,
 ) -> List[List[RunResult]]:
     """Execute several grid points sharing one graph as stacked batches.
 
@@ -206,7 +204,7 @@ def run_points(
         epsilon = default_epsilon(graph, analysis.mode)
 
     n = graph.n
-    # Pack whole groups into super-batches whose stacked gather buffer
+    # Pack whole groups into super-batches whose stacked column array
     # stays under budget; a single oversized group runs alone (one call,
     # like run_trials always did).
     bytes_per_row = 4 * (graph.indices.shape[0] + 1)
@@ -242,7 +240,7 @@ def run_points(
         fault_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        labels = batched_connected_components(graph, alive, backend=backend)
+        labels = batched_connected_components(graph, alive)
         n_components, largest = batched_component_stats(labels)
         n_alive = alive.sum(axis=1, dtype=np.int64)
         analyze_s = time.perf_counter() - t0

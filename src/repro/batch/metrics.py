@@ -29,18 +29,14 @@ def batched_gamma(
     alive: np.ndarray,
     *,
     edge_alive: Optional[np.ndarray] = None,
-    backend: Optional[object] = None,
 ) -> np.ndarray:
     """``γ`` per trial — largest surviving-component fraction relative to
     the original node count (paper §1.1), shape ``(T,)``.
 
     Matches the scalar percolation trials exactly: ``0.0`` for ``n = 0``
     or an all-dead row, ``1/n`` when the survivors are all isolated.
-    ``backend`` selects the kernel backend (results are identical).
     """
-    return batched_largest_component_fraction(
-        graph, alive, edge_alive=edge_alive, backend=backend
-    )
+    return batched_largest_component_fraction(graph, alive, edge_alive=edge_alive)
 
 
 def batched_set_expansion(

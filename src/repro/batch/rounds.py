@@ -20,10 +20,6 @@ so stacking trials never changes any row's trajectory; rows that reach
 their fixpoint early pass through later rounds unchanged (their shares
 are all zero).  The contract is enforced by
 ``tests/batch/test_cascade_differential.py``.
-
-The kernels are pure numpy and row-independent, so they behave the same
-under every execution backend; backend selection only affects the
-component-labelling kernels that consume the masks afterwards.
 """
 
 from __future__ import annotations

@@ -880,7 +880,6 @@ def experiment_e8_percolation_table(
             # honour the session's execution strategy: --no-batch must
             # reach the percolation kernels too (bisection escape hatch)
             batch=getattr(sess, "batch", "auto") is not False,
-            backend=getattr(sess, "backend", None),
         )
         lit = known[family]
         lit_lo = float(lit.p_star(params))

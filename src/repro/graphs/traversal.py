@@ -5,7 +5,10 @@ BFS expands whole frontiers at a time with one neighbour gather per level
 main reason the experiment sweeps run at laptop scale.  Connected components
 are implemented two ways — frontier BFS and union-find over the edge list —
 and cross-checked in tests; BFS is the default as it profiles faster on the
-mesh-like graphs used throughout.
+mesh-like graphs used throughout.  The mask-parallel variants at the bottom
+evaluate many fault trials at once; their component kernel hands the whole
+stack to :mod:`scipy.sparse.csgraph`, and the scalar BFS above is its
+reference.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from ..errors import InvalidParameterError, NotConnectedError
 from ..util.unionfind import UnionFind
@@ -291,23 +296,11 @@ def _check_alive_matrix(graph: Graph, alive: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _directed_slot_pairs(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR slot indices of each undirected edge's two directed copies.
-
-    Returns ``(fwd, rev)`` of length ``m`` where ``fwd[k]``/``rev[k]`` are
-    the flat CSR positions of edge ``k`` (in :meth:`Graph.edge_array`
-    order) as ``u→v`` and ``v→u`` respectively.  Cached on the graph's
-    :class:`~repro.graphs.index.GraphIndex`.
-    """
-    return graph.index.directed_slot_pairs
-
-
 def batched_connected_components(
     graph: Graph,
     alive: Optional[np.ndarray] = None,
     *,
     edge_alive: Optional[np.ndarray] = None,
-    backend: Optional[object] = None,
 ) -> np.ndarray:
     """Connected-component labels for ``T`` masked trials at once.
 
@@ -321,11 +314,6 @@ def batched_connected_components(
         :meth:`Graph.edge_array` order (bond trials).  Composable with
         ``alive``: an edge conducts only if it survived *and* both its
         endpoints are alive.
-    backend:
-        Backend selector forwarded to
-        :func:`repro.backend.resolve_backend` (``None`` → environment
-        default).  Every backend produces the same canonical labels, so
-        this only affects speed.
 
     Returns
     -------
@@ -335,12 +323,16 @@ def batched_connected_components(
         dead nodes get ``-1``.  ``T = 0`` / ``n = 0`` produce empty
         results of the right shape.
 
-    Validation, the ``edge_alive`` → directed-slot expansion and the
-    degenerate cases live here; the hot labelling loop is delegated to
-    the resolved :mod:`repro.backend` implementation (Shiloach–Vishkin
-    over whole matrices for numpy, a JIT-compiled per-trial flood fill
-    for numba).  Both produce the canonical labels above, so backend
-    choice never changes results.
+    The ``T`` trials are labelled as one block-diagonal graph by
+    :func:`scipy.sparse.csgraph.connected_components`.  Trial ``t`` owns
+    rows ``t·n … t·n + n - 1`` and keeps the host graph's CSR layout; a
+    directed slot that does not conduct points back at its own node, so
+    the stacked ``indptr`` never depends on the masks.  Every conducting
+    slot has a conducting reverse slot, so strong components are the
+    connected components, found without the transpose an undirected call
+    would build.  One ``np.minimum.at`` then maps each component to its
+    smallest node id.  The scalar BFS :func:`connected_components` is the
+    reference these labels are tested against.
     """
     if alive is None:
         if edge_alive is None:
@@ -352,7 +344,6 @@ def batched_connected_components(
     alive = _check_alive_matrix(graph, alive)
     n = graph.n
     T = alive.shape[0]
-    keep = None
     if edge_alive is not None:
         edge_alive = np.asarray(edge_alive)
         if edge_alive.dtype != np.bool_:
@@ -362,17 +353,42 @@ def batched_connected_components(
                 f"edge_alive must have shape ({T}, {graph.m}), "
                 f"got {edge_alive.shape}"
             )
-        if graph.m:
-            fwd, rev = _directed_slot_pairs(graph)
-            keep = np.empty((T, graph.indices.shape[0]), dtype=bool)
-            keep[:, fwd] = edge_alive
-            keep[:, rev] = edge_alive
     if T == 0 or n == 0 or graph.indices.size == 0:
-        labels = np.where(alive, np.arange(n, dtype=np.int64)[None, :], np.int64(n))
-        return np.where(alive, labels, np.int64(-1))
-    from ..backend import resolve_backend
-
-    return resolve_backend(backend).connected_labels(graph, alive, keep)
+        return np.where(alive, np.arange(n, dtype=np.int64), np.int64(-1))
+    idx = graph.index
+    m2 = graph.indices.shape[0]
+    if T * max(n, m2) > np.iinfo(np.int32).max:
+        raise InvalidParameterError(
+            f"{T} stacked trials of a graph with n={n}, 2m={m2} overflow "
+            "the component kernel's int32 indices; pass fewer trials per call"
+        )
+    # trial-major C order (fancy indexing along axis 1 would return F order)
+    conducts = np.take(alive, idx.slot_src, axis=1)
+    conducts &= np.take(alive, graph.indices, axis=1)
+    if edge_alive is not None:
+        fwd, rev = idx.directed_slot_pairs
+        conducts[:, fwd] &= edge_alive
+        conducts[:, rev] &= edge_alive
+    # a conducting slot keeps its target, any other points back at its source
+    src = idx.slot_src.astype(np.int32)
+    cols = conducts * (graph.indices.astype(np.int32) - src)
+    cols += src
+    offsets = np.arange(T, dtype=np.int32) * np.int32(n)
+    cols += offsets[:, None]
+    indptr = np.empty(T * n + 1, dtype=np.int32)
+    indptr[:-1] = (
+        np.arange(T, dtype=np.int32)[:, None] * np.int32(m2)
+        + graph.indptr[:-1].astype(np.int32)
+    ).ravel()
+    indptr[-1] = T * m2
+    # csgraph never reads the weights, so one broadcast 1.0 stands in
+    weights = np.broadcast_to(np.float64(1.0), (T * m2,))
+    stacked = csr_matrix((weights, cols.ravel(), indptr), shape=(T * n, T * n))
+    n_comp, comp = csgraph_components(stacked, directed=True, connection="strong")
+    smallest = np.full(n_comp, T * n, dtype=np.int32)
+    np.minimum.at(smallest, comp, np.arange(T * n, dtype=np.int32))
+    labels = smallest[comp].reshape(T, n) - offsets[:, None]
+    return np.where(alive, labels, np.int64(-1))
 
 
 def batched_component_stats(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -406,7 +422,6 @@ def batched_largest_component_fraction(
     alive: np.ndarray,
     *,
     edge_alive: Optional[np.ndarray] = None,
-    backend: Optional[object] = None,
 ) -> np.ndarray:
     """``γ`` per trial: largest alive-component size over the *original*
     node count (the paper's §1.1 normalisation), as a ``(T,)`` float array.
@@ -417,9 +432,7 @@ def batched_largest_component_fraction(
     alive = _check_alive_matrix(graph, alive)
     if graph.n == 0:
         return np.zeros(alive.shape[0], dtype=np.float64)
-    labels = batched_connected_components(
-        graph, alive, edge_alive=edge_alive, backend=backend
-    )
+    labels = batched_connected_components(graph, alive, edge_alive=edge_alive)
     _, largest = batched_component_stats(labels)
     return largest / float(graph.n)
 

@@ -69,7 +69,6 @@ def _gamma_ladder(
     n_trials: int,
     rng,
     mode: str,
-    backend,
 ) -> np.ndarray:
     """Mean γ at every probe of one ladder round, in one stacked call.
 
@@ -89,7 +88,7 @@ def _gamma_ladder(
         alive = np.empty((k * n_trials, n), dtype=bool)
         for j, q in enumerate(qs):
             alive[j * n_trials: (j + 1) * n_trials] = uniforms < q
-        samples = batched_gamma(graph, alive, backend=backend)
+        samples = batched_gamma(graph, alive)
     else:
         m = graph.m
         uniforms = rng.random((n_trials, m))
@@ -97,7 +96,7 @@ def _gamma_ladder(
         for j, q in enumerate(qs):
             keep[j * n_trials: (j + 1) * n_trials] = uniforms < q
         alive = np.ones((k * n_trials, n), dtype=bool)
-        samples = batched_gamma(graph, alive, edge_alive=keep, backend=backend)
+        samples = batched_gamma(graph, alive, edge_alive=keep)
     return samples.reshape(k, n_trials).mean(axis=1)
 
 
@@ -113,7 +112,6 @@ def estimate_critical_probability(
     q_hi: float = 1.0,
     batch: bool = True,
     ladder: int = 1,
-    backend: object = None,
 ) -> ThresholdEstimate:
     """Bisect for the survival probability where ``E[γ]`` crosses the target.
 
@@ -145,9 +143,6 @@ def estimate_critical_probability(
         the bracket ``(k+1)×`` per call — same bracketing guarantees,
         different (equally valid) probe schedule, and markedly faster
         when per-call overhead dominates.  Ignored when ``batch=False``.
-    backend:
-        Kernel backend selector for the batched paths (bit-identical
-        results; see :mod:`repro.backend`).
     """
     gamma_target = check_fraction(gamma_target, "gamma_target")
     n_trials = check_positive_int(n_trials, "n_trials")
@@ -162,7 +157,7 @@ def estimate_critical_probability(
             k = min(ladder, _MAX_PROBES - probes)
             step = (hi - lo) / (k + 1)
             qs = [lo + (j + 1) * step for j in range(k)]
-            means = _gamma_ladder(graph, qs, n_trials, rng, mode, backend)
+            means = _gamma_ladder(graph, qs, n_trials, rng, mode)
             probes += k
             # first probe at/above the target closes the bracket from
             # above; its predecessor (or lo) closes it from below
@@ -180,11 +175,10 @@ def estimate_critical_probability(
     def gamma(q: float) -> float:
         if mode == "site":
             return site_percolation(
-                graph, q, n_trials=n_trials, seed=rng, batch=batch,
-                backend=backend,
+                graph, q, n_trials=n_trials, seed=rng, batch=batch
             ).gamma_mean
         return bond_percolation(
-            graph, q, n_trials=n_trials, seed=rng, batch=batch, backend=backend
+            graph, q, n_trials=n_trials, seed=rng, batch=batch
         ).gamma_mean
 
     while hi - lo > tol:

@@ -56,7 +56,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port is SweepService.port)
     batch: Union[str, bool] = "auto"
-    backend: str = "auto"
     job_timeout: float = 300.0
     max_attempts: int = 3
     heartbeat_interval: float = 1.0
@@ -219,7 +218,6 @@ class SweepService:
                 {
                     "store": str(self.config.store),
                     "batch": self.config.batch,
-                    "backend": self.config.backend,
                     "fsync": self.config.fsync,
                     "heartbeat_interval": self.config.heartbeat_interval,
                 },

@@ -47,12 +47,7 @@ def _build_session(config: Dict[str, Any]):
     from ..api.store import ResultStore
 
     store = ResultStore(config["store"], fsync=bool(config.get("fsync", False)))
-    return Session(
-        store=store,
-        workers=1,
-        batch=config.get("batch", "auto"),
-        backend=config.get("backend"),
-    )
+    return Session(store=store, workers=1, batch=config.get("batch", "auto"))
 
 
 def worker_main(
@@ -64,8 +59,7 @@ def worker_main(
     """Run the worker loop until the ``None`` sentinel arrives.
 
     ``config`` keys: ``store`` (shared store directory), ``batch``
-    (execution strategy, as :class:`Session` accepts), ``backend`` (kernel
-    backend selector, as :class:`Session` accepts), ``fsync`` (durable
+    (execution strategy, as :class:`Session` accepts), ``fsync`` (durable
     appends), ``heartbeat_interval`` (seconds).
     """
     from ..api.sweeps import SweepSpec, execute_units

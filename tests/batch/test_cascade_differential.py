@@ -5,13 +5,10 @@ with one padded ``np.add.reduceat`` per round; the scalar reference
 :func:`repro.faults.cascade.cascade_fixpoint` runs one cascade with the
 identical per-round formulas over the identical CSR segment order.  The
 contract is *bit*-identity — same failed masks, same round counts, same
-downstream records and fingerprints — on every input, under every
-backend.  Hypothesis generates the wall: arbitrary graphs (including the
-new small-world/geographic families), arbitrary seed sets, margins from
-0 to far above any reachable load.
-
-Like :mod:`tests.batch.test_backend_differential`, the numba legs skip
-when numba is not importable; the numpy legs always run.
+downstream records and fingerprints — on every input.  Hypothesis
+generates the wall: arbitrary graphs (including the new
+small-world/geographic families), arbitrary seed sets, margins from 0 to
+far above any reachable load.
 """
 
 from __future__ import annotations
@@ -29,16 +26,12 @@ from property.strategies import (  # tests/property/strategies.py
 
 from repro.api.session import Session
 from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
-from repro.backend import numba_backend
 from repro.batch.engine import supports
 from repro.batch.faults import MASK_SAMPLERS, batched_fault_masks
 from repro.batch.rounds import cascade_rounds
 from repro.faults.cascade import cascade_fixpoint, load_cascade
 
 pytestmark = [pytest.mark.differential, pytest.mark.scenarios]
-
-HAS_NUMBA = numba_backend.available()
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 
 any_graphs = st.one_of(
     graphs(min_nodes=2, max_nodes=14, max_extra_edges=20),
@@ -105,7 +98,7 @@ def test_mask_sampler_matches_scalar_model(g, alpha, n_seeds, seed0, trials):
 
 
 # --------------------------------------------------------------------- #
-# pipeline level: identical records + fingerprints, both backends
+# pipeline level: identical records + fingerprints
 # --------------------------------------------------------------------- #
 
 CASCADE_SPEC = ScenarioSpec(
@@ -138,14 +131,6 @@ def test_batched_pipeline_matches_scalar(gspec, alpha):
         for s in range(5)
     ]
     scalar = [Session(batch=False).run(spec) for spec in specs]
-    batched = Session(backend="numpy").run_trials_batched(specs)
+    batched = Session().run_trials_batched(specs)
     assert [payload(r) for r in batched] == [payload(r) for r in scalar]
     assert [r.fingerprint() for r in batched] == [r.fingerprint() for r in scalar]
-
-
-@needs_numba
-def test_cascade_records_identical_across_backends():
-    specs = [CASCADE_SPEC.with_seed(s) for s in range(6)]
-    a = Session(backend="numpy").run_trials_batched(specs)
-    b = Session(backend="numba").run_trials_batched(specs)
-    assert [payload(r) for r in a] == [payload(r) for r in b]

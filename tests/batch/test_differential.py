@@ -38,6 +38,7 @@ from repro.api.store import ResultStore
 from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from repro.api.sweeps import Axis, SweepSpec, run_sweep
 from repro.batch import engine as batch_engine
+from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     batched_bfs_distances,
     batched_component_stats,
@@ -82,6 +83,32 @@ def test_batched_components_match_scalar_subgraph(g, p, seed, trials):
         expected = np.full(g.n, -1, dtype=np.int64)
         if survivors.size:
             sub_labels = connected_components(g.subgraph(survivors))
+            for lab in np.unique(sub_labels):
+                members = survivors[sub_labels == lab]
+                expected[members] = members.min()
+        assert np.array_equal(labels[t], expected)
+
+
+@given(
+    g=graphs(min_nodes=2, max_nodes=14, max_extra_edges=20),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+    trials=st.integers(1, 5),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_components_match_scalar_on_edge_masks(g, p, seed, trials):
+    """Composed node + edge masks == components of the survivor subgraph
+    of the host with its dead edges removed."""
+    rng = np.random.default_rng(seed)
+    alive = rng.random((trials, g.n)) >= p / 2
+    edge_alive = rng.random((trials, g.m)) >= p
+    labels = batched_connected_components(g, alive, edge_alive=edge_alive)
+    for t in range(trials):
+        host = Graph.from_edges(g.n, g.edge_array()[edge_alive[t]])
+        survivors = np.flatnonzero(alive[t])
+        expected = np.full(g.n, -1, dtype=np.int64)
+        if survivors.size:
+            sub_labels = connected_components(host.subgraph(survivors))
             for lab in np.unique(sub_labels):
                 members = survivors[sub_labels == lab]
                 expected[members] = members.min()

@@ -253,3 +253,12 @@ def test_shape_and_dtype_mistakes_raise(square):
         batched_boundary_masks(
             square, np.ones((2, 4), dtype=bool), np.ones((1, 4), dtype=bool)
         )
+
+
+def test_stack_overflowing_int32_indices_raises(square):
+    """A stack too large for csgraph's int32 indices is refused up front,
+    never wrapped.  The broadcast view allocates nothing."""
+    T = np.iinfo(np.int32).max // (2 * square.m) + 1
+    alive = np.broadcast_to(np.ones(square.n, dtype=bool), (T, square.n))
+    with pytest.raises(InvalidParameterError, match="int32"):
+        batched_connected_components(square, alive)

@@ -141,13 +141,6 @@ def test_sweep_fingerprint_identical_across_batch_modes():
     assert auto.fingerprint() == scalar.fingerprint()
 
 
-def test_sweep_fingerprint_identical_across_backends():
-    spec = _sweep_spec(trials=3)
-    a = run_sweep(spec, Session(backend="numpy"))
-    b = run_sweep(spec, Session(backend="auto"))
-    assert a.fingerprint() == b.fingerprint()
-
-
 # --------------------------------------------------------------------- #
 # threshold probe ladder
 # --------------------------------------------------------------------- #
