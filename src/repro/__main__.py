@@ -69,7 +69,7 @@ from pathlib import Path
 
 from .core.experiments import ALL_EXPERIMENTS
 from .errors import ReproError
-from .util.tables import format_row_dicts
+from .report.tables import format_row_dicts
 
 #: Store directory used by ``--resume`` and the ``cache`` subcommand when no
 #: explicit ``--store`` is given.
@@ -187,13 +187,6 @@ def _planned_trials(sweep) -> tuple[int, str]:
             f"{policy.min_trials}..{sweep.trials} per point "
             f"(stop at CI half-width <= {policy.target:g})"
         )
-    if policy.kind == "cluster":
-        budget = f", {policy.budget} total" if policy.budget else ""
-        return sweep.trials, (
-            f"{policy.min_trials} per point, then cluster by response and "
-            f"tighten representatives to half-width <= {policy.target:g} "
-            f"(cap {sweep.trials} per point{budget})"
-        )
     if policy.kind == "transition":
         budget = f", {policy.budget} total" if policy.budget else ""
         return sweep.trials, (
@@ -213,8 +206,7 @@ def _cmd_sweep(argv: list[str]) -> int:
         description="Plan / execute / inspect a declarative sweep "
         "(a SweepSpec JSON file), locally or against a running sweep "
         "service (see 'python -m repro serve'). Sampling policies: fixed, "
-        "ci_width, budget, cluster (run cluster representatives, map "
-        "results back), transition (concentrate trials where the fitted "
+        "ci_width, budget, transition (concentrate trials where the fitted "
         "response curve is steep).",
     )
     sub.add_argument(

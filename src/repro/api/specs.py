@@ -549,7 +549,7 @@ class RunResult:
         return value
 
     def row(self) -> Dict[str, Any]:
-        """Flat row-dict for :func:`repro.util.tables.format_row_dicts`."""
+        """Flat row-dict for :func:`repro.report.tables.format_row_dicts`."""
         return {
             "label": self.label or self.spec_hash,
             "graph": self.graph_name,

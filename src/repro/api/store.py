@@ -45,13 +45,6 @@ Robustness properties (unchanged from the single-file store):
   :meth:`compact` / :meth:`prune` rewrites the affected shards (automatic
   once a shard's garbage ratio is high enough).
 
-Legacy stores (single ``results.jsonl``/``baselines.jsonl``/
-``tables.jsonl`` files at the store root, the PR 1–6 layout) are migrated
-into the sharded layout transparently on open.  Migration moves each raw
-line byte-for-byte, so every result and its fingerprint survive
-bit-identically — a sweep against a migrated store fingerprints the same
-as against the original.
-
 Maintenance operations: :meth:`stats` (index-served, O(shards)),
 :meth:`compact`, :meth:`prune`, :meth:`clear`.
 """
@@ -163,7 +156,7 @@ class ResultStore:
         self.engine = StorageEngine(self.path, lock=lock, fsync=fsync)
         self.engine.verifier = self._verify_record
         #: Store-wide advisory lock — held by whole-store maintenance
-        #: (:meth:`prune`, :meth:`clear`, legacy migration) so two
+        #: (:meth:`prune`, :meth:`clear`) so two
         #: processes never rewrite the layout concurrently.  Appends take
         #: only their shard's lock.
         self.lock: Optional[FileLock] = self.engine._global_lock
@@ -193,7 +186,7 @@ class ResultStore:
     def corrupt_entries(self) -> int:
         """Corrupt lines observed since open (heals, scans, lazy rejects)."""
         self.engine.load_all()
-        total = self.engine.migration_corrupt
+        total = 0
         for kind in self.engine.kinds():
             total += sum(s.corrupt_seen for s in self.engine.shards(kind))
         return total

@@ -354,7 +354,6 @@ class SweepService:
         c.set_value("store_evictions_total", sc.get("evictions"))
         c.set_value("store_index_hits_total", sc.get("index_hits"))
         c.set_value("store_index_misses_total", sc.get("index_misses"))
-        c.set_value("stores_migrated_total", sc.get("stores_migrated"))
         stats = self.store.stats()
         c.set_gauge("store_segments", stats.segments)
         c.set_gauge(

@@ -1,4 +1,4 @@
-"""The shard router: key placement, policies, legacy migration.
+"""The shard router: key placement, policies, maintenance.
 
 A :class:`StorageEngine` owns one store directory and splits each record
 *kind* (``results``, ``baselines``, ``tables``) across a fixed number of
@@ -16,21 +16,14 @@ across opens because the counts are persisted in ``engine.json`` the first
 time the store is created.  Records are stored as **raw encoded lines**
 and handed back undecoded; the engine decodes JSON only inside
 :meth:`get_record` (and counts it), which is what keeps warm opens and
-membership checks free of per-record work.
-
-The engine also performs the one-time migration of legacy single-file
-stores (PR1–PR6 layout: ``results.jsonl`` etc. at the store root).  Lines
-are moved **verbatim** — byte-for-byte, in file order — into the shards,
-so every fingerprint embedded in a record survives bit-identically and
-last-entry-wins semantics are preserved (identical keys always land in
-the same shard, in the same order).
+membership checks free of per-record work.  Only this layout is read:
+root-level files of the older single-file layout (``results.jsonl``
+etc.) are left untouched and ignored.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 from pathlib import Path
@@ -48,11 +41,6 @@ DEFAULT_SHARDS: Dict[str, int] = {"results": 16, "baselines": 4, "tables": 4}
 DEFAULT_SEGMENT_BYTES = 32 << 20
 
 _META_FILE = "engine.json"
-_LEGACY_FILES = {
-    "results": "results.jsonl",
-    "baselines": "baselines.jsonl",
-    "tables": "tables.jsonl",
-}
 
 #: Auto-compaction fires on append once a shard is at least this fraction
 #: garbage *and* has enough lines for the rewrite to be worth a lock hold.
@@ -82,7 +70,6 @@ class StorageEngine:
         #: Optional ``verify(kind, key, record) -> bool`` hook applied during
         #: compaction (the integrity sweep) — set by the ResultStore facade.
         self.verifier: Optional[Callable[[str, str, dict], bool]] = None
-        self._lock_enabled = lock
         self._global_lock: Optional[FileLock] = (
             FileLock(self.path / ".lock") if lock else None
         )
@@ -101,8 +88,6 @@ class StorageEngine:
                 )
                 for i in range(n)
             ]
-        self._migration_corrupt = 0
-        self._migrate_legacy()
 
     # -- layout ----------------------------------------------------------- #
 
@@ -137,88 +122,6 @@ class StorageEngine:
 
     def shards(self, kind: str) -> List[Shard]:
         return self._shards[kind]
-
-    # -- legacy migration --------------------------------------------------- #
-
-    def _legacy_files_present(self) -> List[str]:
-        return [
-            kind
-            for kind, name in _LEGACY_FILES.items()
-            if kind in self._shards and (self.path / name).exists()
-        ]
-
-    def _migrate_legacy(self) -> None:
-        """Move PR6-format root files into the shards, verbatim.
-
-        Runs under the store-global lock so two processes opening the same
-        legacy store concurrently migrate exactly once (the loser re-checks
-        after acquiring and finds the files gone).  Each parseable line is
-        appended as its **original bytes**; unparseable lines are dropped
-        and counted, matching the legacy store's corrupt-line tolerance.
-        """
-        if not self._legacy_files_present():
-            return
-        with contextlib.ExitStack() as stack:
-            if self._global_lock is not None:
-                with contextlib.suppress(OSError):
-                    stack.enter_context(self._global_lock)
-            migrated_any = False
-            for kind in self._legacy_files_present():
-                legacy = self.path / _LEGACY_FILES[kind]
-                batches: Dict[int, List[Tuple[str, bytes]]] = {}
-                shards = self._shards[kind]
-                try:
-                    raw = legacy.read_bytes()
-                except OSError:
-                    continue
-                for line in raw.splitlines(keepends=False):
-                    stripped = line.strip()
-                    if not stripped:
-                        continue
-                    try:
-                        record = json.loads(stripped)
-                        key = record["key"]
-                        if not isinstance(record, dict) or not isinstance(
-                            key, str
-                        ):
-                            raise ValueError
-                    except (ValueError, KeyError, TypeError):
-                        self._migration_corrupt += 1
-                        self.counters.inc("corrupt")
-                        continue
-                    digest = hashlib.sha256(key.encode("utf-8")).digest()
-                    idx = int.from_bytes(digest[:4], "big") % len(shards)
-                    batches.setdefault(idx, []).append(
-                        (key, bytes(stripped) + b"\n")
-                    )
-                for idx, items in batches.items():
-                    shards[idx].append_many(items)
-                with contextlib.suppress(OSError):
-                    os.unlink(legacy)
-                migrated_any = True
-            if migrated_any:
-                self.counters.inc("stores_migrated")
-
-    @property
-    def migration_corrupt(self) -> int:
-        return self._migration_corrupt
-
-    def export_legacy(self, dest: Path, kind: str = "results") -> int:
-        """Write every live record of ``kind`` to one legacy-format file.
-
-        Raw line bytes are concatenated in append order — the output is a
-        valid PR6 ``results.jsonl`` with identical fingerprints.  Returns
-        the number of records written.  (Used by tests to round-trip
-        new-format stores back to the legacy layout.)
-        """
-        n = 0
-        dest = Path(dest)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        with io.open(dest, "wb") as out:
-            for _key, raw in self.iter_raw(kind):
-                out.write(raw)
-                n += 1
-        return n
 
     # -- record I/O --------------------------------------------------------- #
 
@@ -409,7 +312,6 @@ class StorageEngine:
                 )
                 for field in totals:
                     totals[field] += result[field]
-        self._migration_corrupt = 0
         return totals
 
     def _size_eviction_plan(
@@ -443,13 +345,11 @@ class StorageEngine:
         for kind in kinds if kinds is not None else self.kinds():
             for shard in self._shards[kind]:
                 shard.clear()
-        self._migration_corrupt = 0
 
     def reload(self) -> None:
         for shards in self._shards.values():
             for shard in shards:
                 shard.reload()
-        self._migrate_legacy()
 
     def load_all(self) -> None:
         for shards in self._shards.values():

@@ -253,3 +253,15 @@ class TestSweepCommand:
     def test_missing_sweep_file(self, tmp_path, capsys):
         assert main(["sweep", "plan", str(tmp_path / "nope.json")]) == 2
         assert "cannot load sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", [
+        {"kind": "cluster", "target": 0.05},
+        {"kind": "ci_width", "target": 0.05, "budget": 10},
+    ])
+    def test_rejected_policy_is_exit_2(
+        self, tmp_path, capsys, sweep_dict, policy
+    ):
+        sweep_file = tmp_path / "sweep.json"
+        sweep_file.write_text(json.dumps(dict(sweep_dict, policy=policy)))
+        assert main(["sweep", "run", str(sweep_file)]) == 2
+        assert "cannot load sweep" in capsys.readouterr().err

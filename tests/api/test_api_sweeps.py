@@ -99,7 +99,6 @@ def sweep_specs(draw):
                 SamplingPolicy(),
                 SamplingPolicy(kind="ci_width", target=0.05, min_trials=2, chunk=3),
                 SamplingPolicy(kind="budget", budget=30, min_trials=2),
-                SamplingPolicy(kind="cluster", target=0.05, min_trials=2),
                 SamplingPolicy(kind="transition", target=0.05, min_trials=2),
             ]
         )
@@ -350,19 +349,42 @@ class TestSamplingPolicy:
         with pytest.raises(SpecError):
             SamplingPolicy(kind="nope")
         with pytest.raises(SpecError):
+            SamplingPolicy(kind="cluster", target=0.05)  # removed kind
+        with pytest.raises(SpecError):
             SamplingPolicy(kind="ci_width")  # no target
         with pytest.raises(SpecError):
             SamplingPolicy(kind="budget")  # no budget
         with pytest.raises(SpecError):
             SamplingPolicy(target=-1.0)
         with pytest.raises(SpecError):
-            SamplingPolicy(kind="cluster")  # no target
-        with pytest.raises(SpecError):
             SamplingPolicy(kind="transition")  # no target
         with pytest.raises(SpecError):
             SamplingPolicy(chunk=True)  # bools are not trial counts
         with pytest.raises(SpecError):
             SamplingPolicy(kind="budget", budget=10.5)  # non-integral
+
+    # -- fields a kind never reads (regression) ------------------------- #
+
+    @pytest.mark.parametrize("kind,extra", [
+        ("fixed", {"budget": 10}),
+        ("ci_width", {"target": 0.001, "budget": 10}),
+        ("fixed", {"target": 0.05}),
+    ])
+    def test_rejects_fields_the_kind_never_reads(self, kind, extra):
+        """Pre-fix, ``budget`` on fixed/ci_width and ``target`` on fixed
+        were accepted, silently ignored by allocation, yet still changed
+        the sweep hash."""
+        with pytest.raises(SpecError, match="does not read"):
+            SamplingPolicy(kind=kind, **extra)
+        with pytest.raises(SpecError, match="does not read"):
+            SamplingPolicy.from_dict({"kind": kind, **extra})
+
+    @pytest.mark.parametrize("target", [math.inf, math.nan])
+    def test_rejects_non_finite_target(self, target):
+        """Pre-fix, ``target=inf`` was accepted and ``to_json`` emitted
+        the non-standard ``Infinity`` token."""
+        with pytest.raises(SpecError, match="finite"):
+            SamplingPolicy(kind="ci_width", target=target)
 
     # -- eq/hash contract (regression) --------------------------------- #
 
@@ -417,38 +439,9 @@ class TestSamplingPolicy:
     # -- stateful kinds -------------------------------------------------- #
 
     def test_stateful_kinds_reject_stateless_allocate(self):
-        for kind in ("cluster", "transition"):
-            policy = SamplingPolicy(kind=kind, target=0.05)
-            with pytest.raises(SpecError):
-                policy.allocate([math.inf], [0], 10)
-
-    def test_cluster_allocator_promotes_representatives(self):
-        from repro.api.sweeps import PointView
-
-        policy = SamplingPolicy(kind="cluster", target=0.05, min_trials=2, chunk=4)
-        alloc = policy.allocator(())
-        views = [PointView(math.inf, math.nan, 0)] * 4
-        assert alloc.next_requests(views, [0, 0, 0, 0], 20) == [
-            (0, 2), (1, 2), (2, 2), (3, 2),
-        ]
-        # two response plateaus (0.9-ish and 0.1-ish), everything noisy
-        views = [
-            PointView(0.2, 0.90, 2),
-            PointView(0.2, 0.95, 2),
-            PointView(0.2, 0.10, 2),
-            PointView(0.2, 0.12, 2),
-        ]
-        requests = alloc.next_requests(views, [2, 2, 2, 2], 20)
-        assert len(requests) == 2  # one representative per plateau
-        reps = {i for i, _ in requests}
-        assert len(reps & {0, 1}) == 1 and len(reps & {2, 3}) == 1
-        mapping = alloc.mapping()
-        assert mapping is not None
-        assert mapping[0] == mapping[1] and mapping[2] == mapping[3]
-        assert mapping[0] != mapping[2]
-        state = alloc.state()
-        assert state["kind"] == "cluster"
-        assert len(state["clusters"]) == 2
+        policy = SamplingPolicy(kind="transition", target=0.05)
+        with pytest.raises(SpecError):
+            policy.allocate([math.inf], [0], 10)
 
     def test_transition_allocator_targets_steep_region(self):
         from repro.api.sweeps import PointView
@@ -580,7 +573,7 @@ class TestRunSweep:
             assert point.stats["expansion_retention"].n_skipped == 2
 
     def test_rows_render(self):
-        from repro.util.tables import format_row_dicts
+        from repro.report.tables import format_row_dicts
 
         result = run_sweep(_sweep(trials=2), Session())
         out = format_row_dicts(result.rows())
@@ -614,7 +607,7 @@ class TestRunSweep:
         assert nan_point.n_trials == 3  # bootstrap only, then starved out
         assert finite_point.n_trials == 13  # the rest of the budget
 
-    @pytest.mark.parametrize("kind", ["cluster", "transition"])
+    @pytest.mark.parametrize("kind", ["transition"])
     def test_adaptive_kind_fingerprints_identical_across_workers(self, kind):
         sweep = _sweep(
             axes=(Axis("fault.params.p", (0.05, 0.3, 0.6)),),
@@ -630,7 +623,7 @@ class TestRunSweep:
             p.n_trials for p in pooled.points
         ]
 
-    @pytest.mark.parametrize("kind", ["cluster", "transition"])
+    @pytest.mark.parametrize("kind", ["transition"])
     def test_adaptive_kind_resume_identical_fingerprint(self, tmp_path, kind):
         sweep = _sweep(
             axes=(Axis("fault.params.p", (0.05, 0.3, 0.6)),),
@@ -658,27 +651,3 @@ class TestRunSweep:
         assert [p.trial_fingerprints for p in resumed.points] == [
             p.trial_fingerprints for p in fresh.points
         ]
-
-    def test_cluster_sweep_maps_members_with_provenance(self):
-        # two identical-response points (same p) plus one far-away point:
-        # the duplicate pair collapses to one representative
-        sweep = _sweep(
-            axes=(Axis("fault.params.p", (0.1, 0.1, 0.8)),),
-            trials=12,
-            policy=SamplingPolicy(kind="cluster", target=0.1, min_trials=3),
-        )
-        result = run_sweep(sweep, Session())
-        pair = result.points[:2]
-        mapped = [p for p in pair if p.provenance == "cluster"]
-        direct = [p for p in pair if p.provenance == "direct"]
-        assert len(mapped) == 1 and len(direct) == 1
-        assert mapped[0].source == direct[0].index
-        # the member reports its representative's CI-backed stats
-        assert (
-            mapped[0].stats["gamma"].mean == direct[0].stats["gamma"].mean
-        )
-        assert result.points[2].provenance == "direct"
-        payload = result.points[0].to_dict()
-        assert {"provenance", "source"} <= set(payload)
-        rows = result.rows()
-        assert any("provenance" in row for row in rows)

@@ -1,6 +1,11 @@
-"""Engine-level behaviour: shard routing, policies, counters, layout."""
+"""Engine-level behaviour: shard routing, policies, counters, layout, and
+the multi-process append race the shard locks exist for."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +45,17 @@ class TestRouting:
         assert len(reopened.shards("results")) == 3
         meta = json.loads((tmp_path / "s" / "engine.json").read_text())
         assert meta["shards"]["results"] == 3
+
+    def test_root_level_flat_files_are_ignored(self, tmp_path):
+        """The older single-file layout is neither read nor touched."""
+        flat = tmp_path / "s" / "results.jsonl"
+        flat.parent.mkdir()
+        line = json.dumps({"key": "k", "x": 1}) + "\n"
+        flat.write_text(line)
+        engine = StorageEngine(tmp_path / "s")
+        assert engine.count("results") == 0
+        assert engine.get_record("results", "k") is None
+        assert flat.read_text() == line
 
     def test_contains_is_index_only(self, engine):
         engine.append("results", "k", {"key": "k"})
@@ -147,3 +163,50 @@ class TestMinGarbageThreshold:
         assert totals["kept"] == 10
         assert totals["superseded"] == 10
         assert cold.garbage_ratio("results") == 0.0
+
+
+class TestConcurrentAppendRace:
+    def test_four_process_append_race_across_shards(self, tmp_path):
+        """Four processes hammer every results shard concurrently; the
+        per-shard locks must keep every line complete and every index
+        entry correct."""
+        store_dir = tmp_path / "shared"
+        StorageEngine(store_dir)  # create the layout
+        code = (
+            "import sys\n"
+            "from repro.storage import StorageEngine\n"
+            "engine = StorageEngine(sys.argv[1])\n"
+            "who = sys.argv[2]\n"
+            "pad = 'x' * 2048\n"
+            "for i in range(50):\n"
+            "    key = f'{who}:{i}'\n"
+            "    engine.append('results', key,"
+            " {'key': key, 'who': who, 'i': i, 'pad': pad})\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, str(store_dir), f"w{k}"],
+                env=env,
+            )
+            for k in range(4)
+        ]
+        for p in procs:
+            assert p.wait(timeout=120) == 0
+        engine = StorageEngine(store_dir)
+        assert engine.count("results") == 4 * 50
+        seen = 0
+        for k in range(4):
+            for i in range(50):
+                record = engine.get_record("results", f"w{k}:{i}")
+                assert record["i"] == i and record["who"] == f"w{k}"
+                seen += 1
+        assert seen == 200
+        assert sum(
+            s.corrupt_seen for s in engine.shards("results")
+        ) == 0
+        # The race exercised more than one shard lock.
+        touched = [s for s in engine.shards("results") if len(s)]
+        assert len(touched) > 1
