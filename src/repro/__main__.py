@@ -741,13 +741,14 @@ def _cmd_cache(argv: list[str]) -> int:
     store = ResultStore(args.store)
     if args.action == "stats":
         for key, value in store.stats().to_dict().items():
-            print(f"{key:>13}  {value}")
+            print(f"{key:>16}  {value}")
         for row in store.shard_rows("results"):
             if not row["segments"] and not row["entries"]:
                 continue  # empty shards add nothing to the picture
             print(
                 f"  results/shard-{row['shard']:02d}  "
                 f"entries={row['entries']}  segments={row['segments']}  "
+                f"bytes={row['bytes']}  "
                 f"garbage_ratio={row['garbage_ratio']:.2f}"
             )
     elif args.action == "prune":

@@ -87,6 +87,7 @@ _LAZY_ATTRS = {
     "resolve_graph": ".engine",
     "run": ".engine",
     "run_batch": ".engine",
+    "surviving_nodes": ".engine",
     "engine": ".engine",
     "Session": ".session",
     "ResultStore": ".store",
@@ -152,6 +153,7 @@ __all__ = [
     "analyze_graph",
     "run",
     "run_batch",
+    "surviving_nodes",
     "Session",
     "ResultStore",
     "StoreStats",

@@ -12,10 +12,12 @@ The engine turns :class:`~repro.api.specs.ScenarioSpec` data into
   :func:`run` and :class:`repro.core.FaultExpansionAnalyzer` execute
   through it, so the imperative facade and the declarative API can never
   drift apart;
-* :func:`run` executes one scenario; :func:`run_batch` executes many
-  through a throwaway :class:`~repro.api.session.Session`, deduplicating
-  baseline expansion estimates per (graph spec, mode) and fanning scenarios
-  out across worker processes via the :mod:`repro.api.executors` layer.
+* :func:`run` executes one scenario; :func:`surviving_nodes` replays one
+  to recover the survivor set its record does not store; :func:`run_batch`
+  executes many through a throwaway :class:`~repro.api.session.Session`,
+  deduplicating baseline expansion estimates per (graph spec, mode) and
+  fanning scenarios out across worker processes via the
+  :mod:`repro.api.executors` layer.
 
 Determinism: a scenario's randomness comes from explicit ``seed`` params
 inside its specs (graph identity) plus the scenario ``seed`` (fault draws).
@@ -61,6 +63,7 @@ __all__ = [
     "analyze_graph",
     "run",
     "run_batch",
+    "surviving_nodes",
 ]
 
 # Late import to avoid a hard cycle with repro.core at module-load time.
@@ -238,8 +241,6 @@ def _package(
     spec: ScenarioSpec, report: FaultToleranceReport, timings: Dict[str, float]
 ) -> RunResult:
     prune_result = report.prune_result
-    faulty = prune_result.input_graph
-    surviving_original = faulty.original_ids[prune_result.surviving_local]
     retention = report.expansion_retention
     return RunResult(
         spec=spec,
@@ -266,25 +267,23 @@ def _package(
             else None
         ),
         expansion_retention=None if retention != retention else float(retention),
-        surviving_nodes=tuple(int(i) for i in surviving_original),
         epsilon=float(report.epsilon),
         timings=timings,
     )
 
 
-def run(
+def _pipeline(
     spec: ScenarioSpec,
+    baseline_cache: Optional[Dict[BaselineKey, ExpansionEstimate]],
     *,
-    baseline_cache: Optional[Dict[BaselineKey, ExpansionEstimate]] = None,
-) -> RunResult:
-    """Execute one scenario spec end-to-end.
-
-    ``baseline_cache`` (keyed by graph-spec hash × mode × exact threshold)
-    lets callers amortise the fault-free expansion estimate across scenarios
-    sharing a graph; :func:`run_batch` manages one automatically.
-    """
+    replay: bool = False,
+) -> Tuple[FaultToleranceReport, Dict[str, float]]:
+    """Resolve → baseline → fault → analyze for one spec: the body shared
+    by :func:`run` and :func:`surviving_nodes`.  A ``replay`` skips the
+    survivor expansion estimate, which the survivor set does not depend
+    on."""
     if not isinstance(spec, ScenarioSpec):
-        raise SpecError(f"run() takes a ScenarioSpec, got {type(spec).__name__}")
+        raise SpecError(f"expected a ScenarioSpec, got {type(spec).__name__}")
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
     graph, raw = resolve_graph(spec.graph)
@@ -315,11 +314,45 @@ def run(
         epsilon=spec.analysis.epsilon,
         finder=resolve_finder(spec.analysis.finder, spec.analysis.finder_params),
         exact_threshold=spec.analysis.exact_threshold,
-        measure_expansion=spec.analysis.measure_expansion,
+        measure_expansion=spec.analysis.measure_expansion and not replay,
         baseline=baseline,
     )
     timings["analyze"] = time.perf_counter() - t0
+    return report, timings
+
+
+def run(
+    spec: ScenarioSpec,
+    *,
+    baseline_cache: Optional[Dict[BaselineKey, ExpansionEstimate]] = None,
+) -> RunResult:
+    """Execute one scenario spec end-to-end.
+
+    ``baseline_cache`` (keyed by graph-spec hash × mode × exact threshold)
+    lets callers amortise the fault-free expansion estimate across scenarios
+    sharing a graph; :func:`run_batch` manages one automatically.
+    """
+    report, timings = _pipeline(spec, baseline_cache)
     return _package(spec, report, timings)
+
+
+def surviving_nodes(
+    spec: ScenarioSpec,
+    *,
+    baseline_cache: Optional[Dict[BaselineKey, ExpansionEstimate]] = None,
+) -> np.ndarray:
+    """Original-graph ids of the network ``H`` left after faults *and*
+    pruning — the survivor set a :class:`RunResult` does not store.
+
+    Replays the :func:`run` pipeline from ``(spec, seed)`` (minus the
+    survivor expansion estimate, which the set does not depend on), so by
+    the determinism contract ``len(surviving_nodes(spec)) ==
+    run(spec).n_surviving``.  Pass the ``baseline_cache`` the result was
+    computed with to skip the fault-free expansion estimate.
+    """
+    report, _ = _pipeline(spec, baseline_cache, replay=True)
+    prune_result = report.prune_result
+    return prune_result.input_graph.original_ids[prune_result.surviving_local]
 
 
 def _baseline_task(spec: ScenarioSpec) -> ExpansionEstimate:

@@ -38,6 +38,8 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from ..errors import SpecError
 from ..expansion.estimate import ExpansionEstimate
 from ..graphs.graph import Graph
@@ -353,6 +355,15 @@ class Session:
         """Resolve a :class:`GraphSpec` through the generator registry (the
         session-level alias of :func:`repro.api.engine.resolve_graph`)."""
         return _engine.resolve_graph(spec)
+
+    def surviving_nodes(self, spec: ScenarioSpec) -> np.ndarray:
+        """Original-graph ids of ``spec``'s surviving network ``H``,
+        replayed by :func:`repro.api.engine.surviving_nodes` with this
+        session's baseline estimates (memory, then store), so the replay
+        never re-solves a baseline the session already holds."""
+        (spec,) = _validate_specs([spec])
+        self._ensure_baselines([spec])
+        return _engine.surviving_nodes(spec, baseline_cache=self._baselines)
 
     def stats(self):
         """Store statistics (:class:`~repro.api.store.StoreStats`), or

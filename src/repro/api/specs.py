@@ -37,6 +37,7 @@ __all__ = [
     "ScenarioSpec",
     "RunResult",
     "canonical_json",
+    "result_fingerprint",
     "spec_hash",
 ]
 
@@ -445,14 +446,27 @@ class ScenarioSpec:
 # --------------------------------------------------------------------- #
 
 
+def result_fingerprint(d: Mapping[str, Any]) -> str:
+    """Content hash of a serialised :class:`RunResult`, wall-clock
+    ``timings`` excluded (:meth:`RunResult.fingerprint` of the record).
+
+    Hashes the dict as given, so the store can verify a record against the
+    fingerprint it was written with even when the record carries fields a
+    current :class:`RunResult` no longer has.
+    """
+    content = {key: value for key, value in d.items() if key != "timings"}
+    return hashlib.sha256(canonical_json(content).encode()).hexdigest()[:16]
+
+
 @dataclass(frozen=True, eq=True)
 class RunResult:
     """Structured outcome of one executed scenario, with provenance.
 
     All fields are plain JSON types so results serialise as easily as the
-    specs that produced them.  ``surviving_nodes`` are node ids of the
-    *original* network, so post-processing can rebuild ``H`` via
-    ``graph.subgraph(...)`` without re-running the pipeline.
+    specs that produced them.  A record holds O(1) numbers per trial, not
+    the O(n) survivor set: :func:`repro.api.engine.surviving_nodes`
+    replays the pipeline from ``spec`` and returns ``H``'s original-graph
+    node ids, so post-processing rebuilds ``H`` via ``graph.subgraph(...)``.
     """
 
     spec: ScenarioSpec
@@ -477,7 +491,6 @@ class RunResult:
     baseline_exact: bool
     surviving_expansion: Optional[float]
     expansion_retention: Optional[float]
-    surviving_nodes: Tuple[int, ...]
     epsilon: float
     # wall-clock provenance (excluded from fingerprint/equality-of-record)
     timings: Dict[str, float] = field(default_factory=dict, compare=False)
@@ -508,7 +521,6 @@ class RunResult:
             "baseline_exact": self.baseline_exact,
             "surviving_expansion": self.surviving_expansion,
             "expansion_retention": self.expansion_retention,
-            "surviving_nodes": list(self.surviving_nodes),
             "epsilon": self.epsilon,
             "timings": dict(self.timings),
         }
@@ -517,7 +529,9 @@ class RunResult:
     def from_dict(cls, d: Mapping[str, Any]) -> "RunResult":
         d = dict(_check_mapping(d, "RunResult"))
         d["spec"] = ScenarioSpec.from_dict(_require(d, "spec", "RunResult"))
-        d["surviving_nodes"] = tuple(int(i) for i in d.get("surviving_nodes", ()))
+        # Records written before survivors were replayed on demand carry
+        # the O(n) id list; it is no longer part of a result.
+        d.pop("surviving_nodes", None)
         d["timings"] = _check_mapping(d.get("timings"), "RunResult.timings")
         try:
             return cls(**d)
@@ -542,9 +556,7 @@ class RunResult:
         cached = getattr(self, "_fingerprint", None)
         if cached is not None:
             return cached
-        d = self.to_dict()
-        d.pop("timings", None)
-        value = hashlib.sha256(canonical_json(d).encode()).hexdigest()[:16]
+        value = result_fingerprint(self.to_dict())
         object.__setattr__(self, "_fingerprint", value)
         return value
 

@@ -61,7 +61,7 @@ import numpy as np
 from ..expansion.estimate import ExpansionEstimate
 from ..storage import StorageEngine
 from ..util.locking import FileLock
-from .specs import RunResult, ScenarioSpec
+from .specs import RunResult, ScenarioSpec, result_fingerprint
 
 __all__ = ["BaselineKey", "ResultStore", "StoreStats", "baseline_key"]
 
@@ -108,6 +108,9 @@ class StoreStats:
     Served entirely from the shard offset indexes — computing these
     decodes no records and verifies no fingerprints (corruption hiding
     behind a parseable line surfaces at lookup or compaction instead).
+    ``bytes_per_result`` is the mean on-disk size of a ``results`` line
+    (live and garbage alike); baselines and tables are left out of it —
+    a baseline is O(n) but there is one per graph, not one per trial.
     """
 
     path: str
@@ -119,6 +122,7 @@ class StoreStats:
     tables: int = 0
     segments: int = 0
     garbage_ratio: float = 0.0
+    bytes_per_result: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -131,6 +135,7 @@ class StoreStats:
             "bytes": self.bytes,
             "segments": self.segments,
             "garbage_ratio": round(self.garbage_ratio, 4),
+            "bytes_per_result": round(self.bytes_per_result, 1),
         }
 
 
@@ -277,7 +282,8 @@ class ResultStore:
     def _decode_result(self, record: Dict[str, Any]) -> Optional[Tuple[str, RunResult]]:
         try:
             key = record["key"]
-            result = RunResult.from_dict(record["result"])
+            stored = record["result"]
+            result = RunResult.from_dict(stored)
         except Exception:
             return None
         # Reject silently-corrupted values: the key must match the spec the
@@ -285,7 +291,14 @@ class ResultStore:
         # the record content.
         if key != result.spec.hash():
             return None
-        if record.get("fingerprint") != result.fingerprint():
+        # Records written before survivor sets were replayed on demand
+        # carry a ``surviving_nodes`` list and were fingerprinted with it:
+        # verify them as stored, then serve them without the field.
+        if "surviving_nodes" in stored:
+            expected = result_fingerprint(stored)
+        else:
+            expected = result.fingerprint()
+        if record.get("fingerprint") != expected:
             return None
         return key, result
 
@@ -360,18 +373,19 @@ class ResultStore:
     def stats(self) -> StoreStats:
         """Entry counts, anomaly counts and on-disk size — index-served.
 
-        Unlike the legacy store, this decodes no records: counts come
-        straight from the shard offset indexes, so ``cache stats`` on a
-        million-entry store is instant.
+        Decodes no records: counts come straight from the shard offset
+        indexes, so ``cache stats`` on a million-entry store is instant.
         """
         totals = {
             kind: self.engine.counts(kind) for kind in self.engine.kinds()
         }
         live = sum(c["entries"] for c in totals.values())
         garbage = sum(c["garbage"] for c in totals.values())
+        results = totals.get("results", {})
+        result_lines = results.get("entries", 0) + results.get("garbage", 0)
         return StoreStats(
             path=str(self.path),
-            results=totals.get("results", {}).get("entries", 0),
+            results=results.get("entries", 0),
             baselines=totals.get("baselines", {}).get("entries", 0),
             tables=totals.get("tables", {}).get("entries", 0),
             corrupt=self.corrupt_entries,
@@ -379,6 +393,9 @@ class ResultStore:
             bytes=sum(c["bytes"] for c in totals.values()),
             segments=sum(c["segments"] for c in totals.values()),
             garbage_ratio=(garbage / (live + garbage)) if (live + garbage) else 0.0,
+            bytes_per_result=(
+                results["bytes"] / result_lines if result_lines else 0.0
+            ),
         )
 
     def shard_rows(self, kind: str = "results") -> List[Dict[str, float]]:

@@ -259,7 +259,6 @@ def run_points(
                 i = row
                 row += 1
                 f = int(n - n_alive[i])
-                surviving = graph.original_ids[alive[i]]
                 out[gi].append(
                     RunResult(
                         spec=spec,
@@ -282,7 +281,6 @@ def run_points(
                         baseline_exact=baseline_exact,
                         surviving_expansion=None,
                         expansion_retention=None,
-                        surviving_nodes=tuple(surviving.tolist()),
                         epsilon=float(epsilon),
                         timings=dict(shared),
                     )

@@ -63,6 +63,7 @@ import numpy as np
 from ..api.session import Session
 from ..api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from ..api.sweeps import Axis, SweepSpec, run_sweep
+from ..errors import ReproError
 from ..percolation.known import known_thresholds
 from ..report.tables import ExperimentTable, StatColumn
 from ..percolation.threshold import estimate_critical_probability
@@ -968,7 +969,12 @@ def experiment_e9_routing(
         for p in p_values:
             res = next(results)
             alpha = res.baseline_expansion
-            h = graph.subgraph(np.asarray(res.surviving_nodes, dtype=np.int64))
+            h = graph.subgraph(sess.surviving_nodes(res.spec))
+            if h.n != res.n_surviving:
+                raise ReproError(
+                    f"e9: replayed survivors of {res.spec_hash} number {h.n}, "
+                    f"the stored result says {res.n_surviving}"
+                )
             if h.n < 4:
                 continue
             comp = largest_component(h)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.api.engine import (
+    analyze_graph,
     apply_fault_spec,
     resolve_finder,
     resolve_graph,
     run,
     run_batch,
+    surviving_nodes,
 )
 from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, RunResult, ScenarioSpec
 from repro.errors import SpecError, UnknownComponentError
@@ -157,11 +159,21 @@ class TestRun:
         assert res.surviving_expansion is None
         assert res.expansion_retention is None
 
-    def test_surviving_nodes_are_original_ids(self):
-        res = run(torus_spec(p=0.2, seed=4))
-        graph, _ = resolve_graph(torus_spec().graph)
-        h = graph.subgraph(np.asarray(res.surviving_nodes, dtype=np.int64))
-        assert h.n == res.n_surviving
+    def test_surviving_nodes_replays_pruned_survivors(self):
+        spec = torus_spec(p=0.3, seed=2)  # Prune culls a set here
+        res = run(spec)
+        assert 0 < res.n_surviving < res.n_original - res.f
+        survivors = surviving_nodes(spec)
+        assert len(survivors) == res.n_surviving
+        graph, _ = resolve_graph(spec.graph)
+        assert survivors.dtype.kind == "i"
+        assert np.unique(survivors).size == survivors.size
+        assert ((survivors >= 0) & (survivors < graph.n)).all()
+        scenario = apply_fault_spec(graph, spec.fault, seed=spec.seed)
+        pruned = analyze_graph(graph, scenario, measure_expansion=False).prune_result
+        expected = pruned.input_graph.original_ids[pruned.surviving_local]
+        assert np.array_equal(survivors, expected)
+        assert graph.subgraph(survivors).n == res.n_surviving
 
     def test_matches_analyzer_facade(self, small_torus):
         """The declarative path and the imperative facade agree exactly."""

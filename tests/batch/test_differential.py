@@ -38,6 +38,7 @@ from repro.api.store import ResultStore
 from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from repro.api.sweeps import Axis, SweepSpec, run_sweep
 from repro.batch import engine as batch_engine
+from repro.batch.faults import batched_fault_masks
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     batched_bfs_distances,
@@ -166,7 +167,16 @@ def test_run_trials_matches_scalar_engine(n, extra, gseed, p, seed0, trials):
     for b, s in zip(batched, scalar):
         assert b == s  # dataclass equality (timings excluded by design)
         assert b.fingerprint() == s.fingerprint()
-        assert b.to_dict()["surviving_nodes"] == s.to_dict()["surviving_nodes"]
+    # survivor sets are replayed, not stored: the scalar replay must pick
+    # exactly the nodes the batched fault masks leave alive
+    graph, _ = scalar_engine.resolve_graph(gspec)
+    masks, _ = batched_fault_masks(
+        graph, "random_node", {"p": p}, [spec.seed for spec in specs]
+    )
+    for spec, mask in zip(specs, masks):
+        assert np.array_equal(
+            scalar_engine.surviving_nodes(spec), graph.original_ids[~mask]
+        )
 
 
 @given(
